@@ -1,93 +1,7 @@
 //! `casyn` — command-line driver for the congestion-aware synthesis flow.
 //!
-//! ```text
-//! casyn map <design.pla|design.blif> [options]    run one full flow
-//! casyn run <design> [options]                    alias for sweep (default K ladder)
-//! casyn sweep <design> --ks 0,0.1,1 [options]     K sweep (paper Tables 2/4)
-//! casyn loop <design> [options]                   the Fig. 3 methodology loop
-//! casyn batch <manifest.json> [options]           run many designs concurrently
-//! casyn heatmap <heatmap.json>                    render an exported heat map
-//! casyn diff <runA.json> <runB.json>              compare two casyn.run.v1 records
-//! casyn serve [--listen host:port]                run the synthesis service
-//! casyn submit <manifest.json> --server h:p       submit jobs to a running service
-//! casyn shutdown --server h:p                     gracefully drain a running service
-//! casyn loadgen [options]                         service throughput bench (BENCH_serve.json)
-//! casyn top <host:port> [options]                 live service dashboard (polls /stats)
-//!
-//! options:
-//!   --k <f>            congestion factor K (map; default 0.5)
-//!   --ks <list>        comma-separated K values (sweep/batch default)
-//!   --scheme <s>       dagon | cone | pdp (default pdp)
-//!   --placer <b>       global placement backend: kway | bisect (default
-//!                      kway; the CASYN_PLACER env var sets the same)
-//!   --util <f>         target K=0 utilization for the derived die (default 0.611)
-//!   --layers <n>       metal layers (default 3)
-//!   --jobs <n>         worker threads for sweep/batch (default: CASYN_JOBS
-//!                      env var, else available_parallelism)
-//!   --out <path>       write the batch report as JSON (batch only); while
-//!                      the batch runs the file holds a casyn.checkpoint.v1
-//!                      document that is updated after every finished job
-//!   --resume <path>    batch: skip jobs already "ok" in a previous report
-//!                      or checkpoint (matched by name + design)
-//!   --retries <n>      batch: re-run a failed job up to n times (default 0)
-//!   --validate         run stage-boundary invariant checks (always on in
-//!                      debug builds)
-//!   --fault-plan <p>   inject deterministic faults: comma-separated
-//!                      stage:kind[:nth] items plus optional seed=N, e.g.
-//!                      "map:panic:1,route:corrupt:2,seed=42"; kinds are
-//!                      panic, deadline, corrupt
-//!   --crash-dir <dir>  batch: write a casyn.crash.v1 reproducer bundle
-//!                      per failed job
-//!   --verilog <path>   write the mapped netlist as structural Verilog
-//!   --blif <path>      write the optimized network as BLIF
-//!   --dot <path>       write the mapped netlist as Graphviz DOT
-//!   --optimize         run technology-independent extraction first
-//!   --clock <ns>       report slack against this required time
-//!   --metrics-out <p>  collect stage metrics and write telemetry JSON
-//!   --heatmap <path>   write the final congestion heat map as JSON
-//!   --trace            debug-level stage logging (same as CASYN_LOG=debug)
-//!   --trace-out <p>    record the hierarchical span timeline and write it
-//!                      in Chrome trace-event format (load in Perfetto or
-//!                      chrome://tracing); for batch, pass a directory to
-//!                      get one trace file per job plus a trace_path field
-//!                      on each report row
-//!   --spans-out <p>    write the same span timeline as casyn.trace.v1 JSON
-//!   --route-out <p>    write the router convergence series as casyn.route.v1
-//!                      JSON (per-iteration overflow, reroutes, history cost)
-//!   --audit-out <p>    write the overflow-attribution report as
-//!                      casyn.audit.v1 JSON (per-boundary net demand shares)
-//!   --snapshot-stride <n>  embed a full congestion-map snapshot in the
-//!                      casyn.route.v1 series every n router iterations
-//!                      (0 = off, the default)
-//!   --ledger <dir>     append a content-addressed casyn.run.v1 record for
-//!                      this run to the ledger directory (map/run/sweep/loop);
-//!                      compare two records later with `casyn diff`
-//!   --tolerance <f>    diff: widen the wall-clock/allocation tolerance band
-//!                      to ±f× (default 1.0; stable metrics always compare
-//!                      exactly)
-//!   --listen <h:p>     serve: listen address (default 127.0.0.1:7878;
-//!                      port 0 binds an ephemeral port)
-//!   --server <h:p>     submit/shutdown: address of the running service
-//!   --queue-cap <n>    serve/loadgen: admission queue capacity (default 64;
-//!                      submissions that do not fit are rejected with 429)
-//!   --state-dir <dir>  serve: durable state directory holding the
-//!                      casyn.wal.v1 job journal and the checksummed disk
-//!                      cache; on restart the journal is replayed, finished
-//!                      jobs are served from disk and unfinished ones re-run
-//!   --mem-limit <n>    serve: shed new submissions with 503 + Retry-After
-//!                      while live heap exceeds n bytes (k/m/g suffixes
-//!                      accepted; default 0 = watchdog off)
-//!   --result-wait <s>  serve: seconds a result?wait=1 request blocks
-//!                      before answering 409 (default 600)
-//!   --io-fault-plan <spec>  serve: I/O chaos plan armed at stages wal,
-//!                      cache and conn (e.g. "wal:torn_write:2,conn:conn_drop:1")
-//!   --clients <n>      loadgen: concurrent client threads (default 2)
-//!   --designs <n>      loadgen: distinct synthetic designs (default 6)
-//!   --interval <s>     top: seconds between dashboard refreshes (default 1)
-//!   --frames <n>       top: frames to render before exiting, 0 = run
-//!                      until interrupted (default 0); --frames 1 prints
-//!                      one snapshot without clearing the screen
-//! ```
+//! `casyn help` (or `--help`) prints the subcommands and every option;
+//! the text is [`HELP`].
 //!
 //! The batch manifest is a JSON document, either a top-level array of
 //! jobs or `{"jobs": [...]}`; every field but `design` is optional:
@@ -178,12 +92,103 @@ struct Args {
     frames: usize,
 }
 
+/// The subcommands and options, printed by `casyn help`.
+const HELP: &str = "\
+casyn map <design.pla|design.blif> [options]    run one full flow
+casyn run <design> [options]                    alias for sweep (default K ladder)
+casyn sweep <design> --ks 0,0.1,1 [options]     K sweep (paper Tables 2/4)
+casyn loop <design> [options]                   the Fig. 3 methodology loop
+casyn batch <manifest.json> [options]           run many designs concurrently
+casyn heatmap <heatmap.json>                    render an exported heat map
+casyn diff <runA.json> <runB.json>              compare two casyn.run.v1 records
+casyn serve [--listen host:port]                run the synthesis service
+casyn submit <manifest.json> --server h:p       submit jobs to a running service
+casyn shutdown --server h:p                     gracefully drain a running service
+casyn loadgen [options]                         service throughput bench (BENCH_serve.json)
+casyn top <host:port> [options]                 live service dashboard (polls /stats)
+casyn help                                      print this text
+
+options:
+  --k <f>            congestion factor K (map; default 0.5)
+  --ks <list>        comma-separated K values (sweep/batch default)
+  --scheme <s>       dagon | cone | pdp (default pdp)
+  --placer <b>       global placement backend: kway | bisect (default
+                     kway; the CASYN_PLACER env var sets the same)
+  --util <f>         target K=0 utilization for the derived die (default 0.611)
+  --layers <n>       metal layers (default 3)
+  --jobs <n>         worker threads for sweep/batch (default: CASYN_JOBS
+                     env var, else available_parallelism)
+  --out <path>       write the batch report as JSON (batch only); while
+                     the batch runs the file holds a casyn.checkpoint.v1
+                     document that is updated after every finished job
+  --resume <path>    batch: skip jobs already \"ok\" in a previous report
+                     or checkpoint (matched by name + design)
+  --retries <n>      batch: re-run a failed job up to n times (default 0)
+  --validate         run stage-boundary invariant checks (always on in
+                     debug builds)
+  --fault-plan <p>   inject deterministic faults: comma-separated
+                     stage:kind[:nth] items plus optional seed=N, e.g.
+                     \"map:panic:1,route:corrupt:2,seed=42\"; kinds are
+                     panic, deadline, corrupt
+  --crash-dir <dir>  batch: write a casyn.crash.v1 reproducer bundle
+                     per failed job
+  --verilog <path>   write the mapped netlist as structural Verilog
+  --blif <path>      write the optimized network as BLIF
+  --dot <path>       write the mapped netlist as Graphviz DOT
+  --optimize         run technology-independent extraction first
+  --clock <ns>       report slack against this required time
+  --metrics-out <p>  collect stage metrics and write telemetry JSON
+  --heatmap <path>   write the final congestion heat map as JSON
+  --trace            debug-level stage logging (same as CASYN_LOG=debug)
+  --trace-out <p>    record the hierarchical span timeline and write it
+                     in Chrome trace-event format (load in Perfetto or
+                     chrome://tracing); for batch, pass a directory to
+                     get one trace file per job plus a trace_path field
+                     on each report row
+  --spans-out <p>    write the same span timeline as casyn.trace.v1 JSON
+  --route-out <p>    write the router convergence series as casyn.route.v1
+                     JSON (per-iteration overflow, reroutes, history cost)
+  --audit-out <p>    write the overflow-attribution report as
+                     casyn.audit.v1 JSON (per-boundary net demand shares)
+  --snapshot-stride <n>  embed a full congestion-map snapshot in the
+                     casyn.route.v1 series every n router iterations
+                     (0 = off, the default)
+  --ledger <dir>     append a content-addressed casyn.run.v1 record for
+                     this run to the ledger directory (map/run/sweep/loop);
+                     compare two records later with `casyn diff`
+  --tolerance <f>    diff: widen the wall-clock/allocation tolerance band
+                     to ±f× (default 1.0; stable metrics always compare
+                     exactly)
+  --listen <h:p>     serve: listen address (default 127.0.0.1:7878;
+                     port 0 binds an ephemeral port)
+  --server <h:p>     submit/shutdown: address of the running service
+  --queue-cap <n>    serve/loadgen: admission queue capacity (default 64;
+                     submissions that do not fit are rejected with 429)
+  --state-dir <dir>  serve: durable state directory holding the
+                     casyn.wal.v1 job journal and the checksummed disk
+                     cache; on restart the journal is replayed, finished
+                     jobs are served from disk and unfinished ones re-run
+  --mem-limit <n>    serve: shed new submissions with 503 + Retry-After
+                     while live heap exceeds n bytes (k/m/g suffixes
+                     accepted; default 0 = watchdog off)
+  --result-wait <s>  serve: seconds a result?wait=1 request blocks
+                     before answering 409 (default 600)
+  --io-fault-plan <spec>  serve: I/O chaos plan armed at stages wal,
+                     cache and conn (e.g. \"wal:torn_write:2,conn:conn_drop:1\")
+  --clients <n>      loadgen: concurrent client threads (default 2)
+  --designs <n>      loadgen: distinct synthetic designs (default 6)
+  --interval <s>     top: seconds between dashboard refreshes (default 1)
+  --frames <n>       top: frames to render before exiting, 0 = run
+                     until interrupted (default 0); --frames 1 prints
+                     one snapshot without clearing the screen
+";
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage: casyn <map|run|sweep|loop|batch|heatmap|diff|serve|submit|shutdown|loadgen|top> \
          [<design.pla|design.blif|manifest.json|heatmap.json|run.json|host:port>] [options]"
     );
-    eprintln!("run `casyn help` for the option list");
+    eprintln!("run `casyn help` for the subcommands and options");
     ExitCode::FAILURE
 }
 
@@ -402,7 +407,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         }
     }
     // service commands have no input positional (submit's is the manifest)
-    let no_input = matches!(args.command.as_str(), "help" | "serve" | "shutdown" | "loadgen");
+    let no_input = matches!(args.command.as_str(), "serve" | "shutdown" | "loadgen");
     if args.command == "top" && args.input.is_empty() {
         return Err("top needs a server address (host:port)".into());
     }
@@ -1538,8 +1543,12 @@ fn run_flow_command(args: &Args, pool: &Pool) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.is_empty() || argv[0] == "help" || argv[0] == "--help" {
+    if argv.is_empty() {
         return usage();
+    }
+    if matches!(argv[0].as_str(), "help" | "--help") {
+        print!("{HELP}");
+        return ExitCode::SUCCESS;
     }
     match parse_args(&argv) {
         Ok(args) => match run(&args) {

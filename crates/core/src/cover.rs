@@ -155,20 +155,19 @@ pub fn cover_tree_with(
                 }
                 assert!(!ms.is_empty(), "no match at internal node {idx}");
                 matches_tried += ms.len() as u64;
-                let mut best: Option<NodeSolution> = None;
-                for m in ms {
-                    let cand = evaluate(&m, lib, positions, &solutions, &starts, cost);
-                    let better = match &best {
-                        None => true,
-                        Some(b) => {
-                            cand.cost < b.cost || (cand.cost == b.cost && cand.area < b.area)
-                        }
-                    };
-                    if better {
-                        best = Some(cand);
+                // score every candidate, then move the first best one
+                // (lowest cost, ties to lower area) into the solution
+                let mut best = evaluate(&ms[0], lib, positions, &solutions, &starts, cost);
+                let mut best_i = 0;
+                for (i, m) in ms.iter().enumerate().skip(1) {
+                    let cand = evaluate(m, lib, positions, &solutions, &starts, cost);
+                    if cand.cost < best.cost || (cand.cost == best.cost && cand.area < best.area) {
+                        best = cand;
+                        best_i = i;
                     }
                 }
-                solutions.push(best.expect("at least one match"));
+                best.chosen = Some(ms.swap_remove(best_i));
+                solutions.push(best);
             }
         }
     }
@@ -183,7 +182,8 @@ pub fn cover_tree_with(
 }
 
 /// Computes AREA (Eq. 1), WIRE1/WIRE2 (Eqs. 2–4) and the combined cost
-/// (Eq. 5) of one match.
+/// (Eq. 5) of one match. The returned solution's `chosen` is left empty
+/// for the caller to fill with the winner.
 fn evaluate(
     m: &Match,
     lib: &Library,
@@ -247,7 +247,7 @@ fn evaluate(
             overshoot * 1.0e9 + area
         }
     };
-    NodeSolution { chosen: Some(m.clone()), cost: combined, area, wire, arrival, pos: com }
+    NodeSolution { chosen: None, cost: combined, area, wire, arrival, pos: com }
 }
 
 #[cfg(test)]

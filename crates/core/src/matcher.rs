@@ -61,36 +61,55 @@ pub fn matches_at(
     if matches!(tree.nodes[node as usize], TreeNode::Leaf { .. }) {
         return out;
     }
+    let cx = Ctx { tree, shared, policy };
+    // one binding reused across every cell, pattern and recursion step:
+    // the enumeration pushes and pops entries instead of cloning it
+    let mut b = Binding::default();
     for (cid, cell) in lib.cells().iter().enumerate() {
         if cell.sequential {
             continue; // flip-flops are never produced by combinational covering
         }
+        let cell_id = cid as u32;
         for pat in &cell.patterns {
-            let mut bindings: Vec<Binding> = Vec::new();
-            match_rec(
-                tree,
-                node,
-                pat,
-                &Binding::new(cell.num_pins),
-                true,
-                shared,
-                policy,
-                &mut bindings,
-            );
-            for b in bindings {
-                let leaves: Vec<u32> =
-                    b.pins.iter().map(|p| p.expect("linear pattern binds all pins")).collect();
-                let m = Match { cell: cid as u32, leaves, covered: b.covered, through: b.through };
-                if !out.contains(&m) {
-                    out.push(m);
+            b.pins.clear();
+            b.pins.resize(cell.num_pins, None);
+            match_rec(&cx, node, pat, true, &mut b, &mut |b: &mut Binding| {
+                if !out.iter().any(|m| b.is(cell_id, m)) {
+                    out.push(b.to_match(cell_id));
                 }
-            }
+            });
+            debug_assert!(b.covered.is_empty() && b.through.is_empty());
         }
     }
     out
 }
 
-#[derive(Debug, Clone)]
+/// The inputs every recursion step shares.
+struct Ctx<'a> {
+    tree: &'a Tree,
+    shared: &'a [bool],
+    policy: SharedPolicy,
+}
+
+impl Ctx<'_> {
+    /// Covers internal node `node` (subject gate `gate`): pushes it onto
+    /// the binding and returns whether it was covered through a shared
+    /// node, or `None` when the policy forbids covering it.
+    fn enter(&self, b: &mut Binding, node: u32, gate: GateId, at_root: bool) -> Option<bool> {
+        let through = !at_root && self.shared.get(node as usize).copied().unwrap_or(false);
+        if through && self.policy == SharedPolicy::Forbid {
+            return None;
+        }
+        b.covered.push(gate);
+        if through {
+            b.through.push(node);
+        }
+        Some(through)
+    }
+}
+
+/// The embedding under construction.
+#[derive(Debug, Default)]
 struct Binding {
     pins: Vec<Option<u32>>,
     covered: Vec<GateId>,
@@ -98,69 +117,79 @@ struct Binding {
 }
 
 impl Binding {
-    fn new(num_pins: usize) -> Self {
-        Binding { pins: vec![None; num_pins], covered: Vec::new(), through: Vec::new() }
+    /// True when `m` is the match this complete binding of `cell` denotes.
+    fn is(&self, cell: u32, m: &Match) -> bool {
+        m.cell == cell
+            && m.covered == self.covered
+            && m.through == self.through
+            && m.leaves.len() == self.pins.len()
+            && m.leaves.iter().zip(&self.pins).all(|(l, p)| Some(*l) == *p)
+    }
+
+    /// Undoes the matching [`Ctx::enter`].
+    fn leave(&mut self, through: bool) {
+        if through {
+            self.through.pop();
+        }
+        self.covered.pop();
+    }
+
+    fn to_match(&self, cell: u32) -> Match {
+        Match {
+            cell,
+            leaves: self.pins.iter().map(|p| p.expect("linear pattern binds all pins")).collect(),
+            covered: self.covered.clone(),
+            through: self.through.clone(),
+        }
     }
 }
 
-/// Tries to embed `pat` at `node`, extending `partial`; pushes every
-/// complete embedding onto `out`. `at_root` is true only for the node the
-/// whole match is rooted at, which is exempt from the barrier test.
-#[allow(clippy::too_many_arguments)]
+/// Tries to embed `pat` at `node`, extending `b`, and calls `k` on every
+/// complete embedding in enumeration order; `b` is restored before
+/// returning. `at_root` is true only for the node the whole match is
+/// rooted at, which is exempt from the barrier test.
+///
+/// The order is part of the result: the covering DP keeps the first of
+/// equal-cost matches. For a NAND it is every embedding of the left
+/// child in order, each followed by every embedding of the right child,
+/// first for the `(a, b)` child order and then for `(b, a)`.
 fn match_rec(
-    tree: &Tree,
+    cx: &Ctx,
     node: u32,
     pat: &PatternTree,
-    partial: &Binding,
     at_root: bool,
-    shared: &[bool],
-    policy: SharedPolicy,
-    out: &mut Vec<Binding>,
+    b: &mut Binding,
+    k: &mut dyn FnMut(&mut Binding),
 ) {
-    let is_shared = |n: u32| !at_root && shared.get(n as usize).copied().unwrap_or(false);
-    match pat {
-        PatternTree::Leaf(pin) => {
-            let mut b = partial.clone();
-            debug_assert!(b.pins[*pin as usize].is_none(), "linear patterns bind each pin once");
-            b.pins[*pin as usize] = Some(node);
-            out.push(b);
+    match (pat, &cx.tree.nodes[node as usize]) {
+        (PatternTree::Leaf(pin), _) => {
+            let pin = *pin as usize;
+            debug_assert!(b.pins[pin].is_none(), "linear patterns bind each pin once");
+            b.pins[pin] = Some(node);
+            k(b);
+            b.pins[pin] = None;
         }
-        PatternTree::Inv(inner) => {
-            if let TreeNode::Inv { child, gate } = tree.nodes[node as usize] {
-                if is_shared(node) && policy == SharedPolicy::Forbid {
-                    return;
-                }
-                let mut b = partial.clone();
-                b.covered.push(gate);
-                if is_shared(node) {
-                    b.through.push(node);
-                }
-                match_rec(tree, child, inner, &b, false, shared, policy, out);
+        (PatternTree::Inv(inner), &TreeNode::Inv { child, gate }) => {
+            if let Some(through) = cx.enter(b, node, gate, at_root) {
+                match_rec(cx, child, inner, false, b, k);
+                b.leave(through);
             }
         }
-        PatternTree::Nand(pa, pb) => {
-            if let TreeNode::Nand { a, b, gate } = tree.nodes[node as usize] {
-                if is_shared(node) && policy == SharedPolicy::Forbid {
-                    return;
-                }
-                let mut base = partial.clone();
-                base.covered.push(gate);
-                if is_shared(node) {
-                    base.through.push(node);
-                }
+        (PatternTree::Nand(pa, pb), &TreeNode::Nand { a, b: bb, gate }) => {
+            if let Some(through) = cx.enter(b, node, gate, at_root) {
                 // both child orders (NAND is commutative)
-                for (ta, tb) in [(a, b), (b, a)] {
-                    let mut lefts = Vec::new();
-                    match_rec(tree, ta, pa, &base, false, shared, policy, &mut lefts);
-                    for l in lefts {
-                        match_rec(tree, tb, pb, &l, false, shared, policy, out);
-                    }
-                    if a == b {
+                for (ta, tb) in [(a, bb), (bb, a)] {
+                    match_rec(cx, ta, pa, false, b, &mut |b: &mut Binding| {
+                        match_rec(cx, tb, pb, false, b, k)
+                    });
+                    if a == bb {
                         break; // identical children: one order suffices
                     }
                 }
+                b.leave(through);
             }
         }
+        _ => {}
     }
 }
 
@@ -170,6 +199,169 @@ mod tests {
     use crate::partition::{partition, PartitionScheme};
     use casyn_library::corelib018;
     use casyn_netlist::subject::SubjectGraph;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The clone-per-step enumerator `matches_at` replaced, kept as the
+    /// oracle for its output and order.
+    mod reference {
+        use super::super::{Match, SharedPolicy};
+        use crate::partition::{Tree, TreeNode};
+        use casyn_library::{Library, PatternTree};
+        use casyn_netlist::subject::GateId;
+
+        #[derive(Clone)]
+        struct Binding {
+            pins: Vec<Option<u32>>,
+            covered: Vec<GateId>,
+            through: Vec<u32>,
+        }
+
+        pub fn matches_at(
+            tree: &Tree,
+            node: u32,
+            lib: &Library,
+            shared: &[bool],
+            policy: SharedPolicy,
+        ) -> Vec<Match> {
+            let mut out = Vec::new();
+            if matches!(tree.nodes[node as usize], TreeNode::Leaf { .. }) {
+                return out;
+            }
+            for (cid, cell) in lib.cells().iter().enumerate() {
+                if cell.sequential {
+                    continue;
+                }
+                for pat in &cell.patterns {
+                    let mut bindings = Vec::new();
+                    let empty = Binding {
+                        pins: vec![None; cell.num_pins],
+                        covered: Vec::new(),
+                        through: Vec::new(),
+                    };
+                    match_rec(tree, node, pat, &empty, true, shared, policy, &mut bindings);
+                    for b in bindings {
+                        let leaves = b.pins.iter().map(|p| p.unwrap()).collect();
+                        let m = Match {
+                            cell: cid as u32,
+                            leaves,
+                            covered: b.covered,
+                            through: b.through,
+                        };
+                        if !out.contains(&m) {
+                            out.push(m);
+                        }
+                    }
+                }
+            }
+            out
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn match_rec(
+            tree: &Tree,
+            node: u32,
+            pat: &PatternTree,
+            partial: &Binding,
+            at_root: bool,
+            shared: &[bool],
+            policy: SharedPolicy,
+            out: &mut Vec<Binding>,
+        ) {
+            let is_shared = |n: u32| !at_root && shared.get(n as usize).copied().unwrap_or(false);
+            match pat {
+                PatternTree::Leaf(pin) => {
+                    let mut b = partial.clone();
+                    b.pins[*pin as usize] = Some(node);
+                    out.push(b);
+                }
+                PatternTree::Inv(inner) => {
+                    if let TreeNode::Inv { child, gate } = tree.nodes[node as usize] {
+                        if is_shared(node) && policy == SharedPolicy::Forbid {
+                            return;
+                        }
+                        let mut b = partial.clone();
+                        b.covered.push(gate);
+                        if is_shared(node) {
+                            b.through.push(node);
+                        }
+                        match_rec(tree, child, inner, &b, false, shared, policy, out);
+                    }
+                }
+                PatternTree::Nand(pa, pb) => {
+                    if let TreeNode::Nand { a, b, gate } = tree.nodes[node as usize] {
+                        if is_shared(node) && policy == SharedPolicy::Forbid {
+                            return;
+                        }
+                        let mut base = partial.clone();
+                        base.covered.push(gate);
+                        if is_shared(node) {
+                            base.through.push(node);
+                        }
+                        for (ta, tb) in [(a, b), (b, a)] {
+                            let mut lefts = Vec::new();
+                            match_rec(tree, ta, pa, &base, false, shared, policy, &mut lefts);
+                            for l in lefts {
+                                match_rec(tree, tb, pb, &l, false, shared, policy, out);
+                            }
+                            if a == b {
+                                break;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Appends a random subtree in post-order and returns its root index.
+    /// A few NANDs reuse one child for both inputs, exercising the
+    /// identical-children rule.
+    fn random_subtree(rng: &mut StdRng, depth: u32, nodes: &mut Vec<TreeNode>) -> u32 {
+        let roll: f64 = rng.gen();
+        let node = if depth == 0 || roll < 0.2 {
+            TreeNode::Leaf { signal: GateId(rng.gen_range(0u32..6)) }
+        } else if roll < 0.45 {
+            let child = random_subtree(rng, depth - 1, nodes);
+            TreeNode::Inv { child, gate: GateId(1000 + nodes.len() as u32) }
+        } else {
+            let a = random_subtree(rng, depth - 1, nodes);
+            let b = if roll < 0.5 { a } else { random_subtree(rng, depth - 1, nodes) };
+            TreeNode::Nand { a, b, gate: GateId(1000 + nodes.len() as u32) }
+        };
+        nodes.push(node);
+        (nodes.len() - 1) as u32
+    }
+
+    /// The backtracking enumerator returns exactly the oracle's matches,
+    /// in the oracle's order, on random trees and shared masks under
+    /// both policies.
+    #[test]
+    fn enumeration_matches_clone_based_oracle() {
+        let lib = corelib018();
+        let mut rng = StdRng::seed_from_u64(0x3a7c);
+        let mut checked = 0;
+        for _ in 0..300 {
+            let mut nodes = Vec::new();
+            let depth = rng.gen_range(1u32..8);
+            random_subtree(&mut rng, depth, &mut nodes);
+            let tree = Tree { nodes, root_gate: GateId(0) };
+            // masks may be shorter than the tree: missing entries read
+            // as unshared
+            let len = rng.gen_range(0..=tree.nodes.len());
+            let density: f64 = rng.gen();
+            let shared: Vec<bool> = (0..len).map(|_| rng.gen::<f64>() < density).collect();
+            for node in 0..tree.nodes.len() as u32 {
+                for policy in [SharedPolicy::Forbid, SharedPolicy::Price] {
+                    let got = matches_at(&tree, node, &lib, &shared, policy);
+                    let want = reference::matches_at(&tree, node, &lib, &shared, policy);
+                    assert_eq!(got, want, "node {node} {policy:?} of {:?}", tree.nodes);
+                    checked += got.len();
+                }
+            }
+        }
+        assert!(checked > 1000, "too few matches exercised: {checked}");
+    }
 
     fn single_tree(g: &SubjectGraph) -> Tree {
         let f = partition(g, PartitionScheme::Dagon, &[]);

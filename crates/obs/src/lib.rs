@@ -6,7 +6,7 @@
 //! - a thread-safe global [`Registry`] of counters, gauges, and log-scale
 //!   histograms keyed `stage.metric` (e.g. `route.iterations`,
 //!   `map.matches_tried`, `place.fm_passes`);
-//! - [`StageTimer`] / [`span!`] for wall-clock scoping;
+//! - [`StageTimer`] for wall-clock scoping;
 //! - [`trace`]: a hierarchical, thread-aware span tree with Chrome
 //!   trace-event and `casyn.trace.v1` sinks;
 //! - [`alloc`]: per-process heap accounting via a counting global
@@ -85,44 +85,6 @@ impl StageTimer {
     }
 }
 
-/// A scoped counter batch: accumulates locally, flushes to the global
-/// registry on drop. The pattern hot call-sites use to avoid per-event
-/// locking.
-#[derive(Debug, Default)]
-pub struct Span {
-    entries: Vec<(String, u64)>,
-}
-
-impl Span {
-    /// An empty batch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `n` to the batched counter `key`.
-    pub fn add(&mut self, key: &str, n: u64) {
-        if n == 0 {
-            return;
-        }
-        if let Some(e) = self.entries.iter_mut().find(|e| e.0 == key) {
-            e.1 += n;
-        } else {
-            self.entries.push((key.to_string(), n));
-        }
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if !enabled() {
-            return;
-        }
-        for (key, n) in self.entries.drain(..) {
-            counter_add(&key, n);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,26 +95,5 @@ mod tests {
         assert_eq!(t.stage(), "test_stage");
         let ms = t.finish();
         assert!(ms >= 0.0);
-    }
-
-    #[test]
-    fn span_flushes_only_when_enabled() {
-        let _guard = crate::registry::test_lock();
-        let key = "span_test.flush_gated";
-        set_enabled(false);
-        {
-            let mut s = Span::new();
-            s.add(key, 5);
-        }
-        assert!(!snapshot().metrics.contains_key(key));
-        set_enabled(true);
-        {
-            let mut s = Span::new();
-            s.add(key, 2);
-            s.add(key, 3);
-        }
-        let snap = snapshot();
-        assert_eq!(snap.counter(key), Some(5));
-        set_enabled(false);
     }
 }

@@ -255,8 +255,8 @@ pub(crate) fn build_audit(
         let net = net_of_connection[ci];
         for e in path {
             let slot = match *e {
-                EdgeRef::H { x, y } => h_slot[y * hw + x],
-                EdgeRef::V { x, y } => v_slot[y * nx + x],
+                EdgeRef::H { x, y } => h_slot[usize::from(y) * hw + usize::from(x)],
+                EdgeRef::V { x, y } => v_slot[usize::from(y) * nx + usize::from(x)],
             };
             if let Some(b) = slot {
                 *per_boundary[b].entry(net).or_insert(0.0) += 1.0;

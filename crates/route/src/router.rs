@@ -8,7 +8,7 @@ use casyn_netlist::Point;
 use casyn_obs as obs;
 use casyn_obs::json::JsonValue;
 use casyn_place::Floorplan;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 
@@ -351,6 +351,8 @@ pub fn route_pin_sets_with_blockage(
         iter_span.attr_num("iter", iter as f64);
         iterations = iter + 1;
         let margin = 4 + 4 * iter;
+        // history and the present factor changed since the last iteration
+        router.refresh_all(&grid, present_factor);
         let mut any = false;
         let mut rerouted_this_iter = 0u64;
         for (ci, (a, b)) in connections.iter().enumerate() {
@@ -360,8 +362,8 @@ pub fn route_pin_sets_with_blockage(
             }
             any = true;
             rerouted_this_iter += 1;
-            rip_up(&mut grid, &paths[ci]);
-            paths[ci] = router.route(&mut grid, *a, *b, present_factor, margin);
+            router.add_path(&mut grid, &paths[ci], -1.0);
+            router.route(*a, *b, margin, &mut paths[ci]);
             if paths[ci].is_empty() && a != b {
                 // the search box always contains a rectilinear path, so an
                 // empty result between distinct gcells means the grid
@@ -372,7 +374,7 @@ pub fn route_pin_sets_with_blockage(
                     to: (b.x as u32, b.y as u32),
                 });
             }
-            commit(&mut grid, &paths[ci]);
+            router.add_path(&mut grid, &paths[ci], 1.0);
         }
         reroutes += rerouted_this_iter;
         let over = grid.update_history(cfg.history_increment);
@@ -510,47 +512,31 @@ fn mst_edges(cells: &[GcellCoord]) -> Result<Vec<(GcellCoord, GcellCoord)>, (usi
     Ok(edges)
 }
 
-/// A grid edge on a committed path.
+/// A grid edge on a committed path. Coordinates are gcell indices, which
+/// fit the `u16` of [`GcellCoord`]; the compact form keeps the stored
+/// paths of a whole routing run small.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum EdgeRef {
     /// Horizontal boundary between gcells `(x, y)` and `(x+1, y)`.
     H {
         /// Left gcell column.
-        x: usize,
+        x: u16,
         /// Row.
-        y: usize,
+        y: u16,
     },
     /// Vertical boundary between gcells `(x, y)` and `(x, y+1)`.
     V {
         /// Column.
-        x: usize,
+        x: u16,
         /// Lower gcell row.
-        y: usize,
+        y: u16,
     },
-}
-
-fn rip_up(grid: &mut RouteGrid, path: &[EdgeRef]) {
-    for e in path {
-        match *e {
-            EdgeRef::H { x, y } => grid.add_h(x, y, -1.0),
-            EdgeRef::V { x, y } => grid.add_v(x, y, -1.0),
-        }
-    }
-}
-
-fn commit(grid: &mut RouteGrid, path: &[EdgeRef]) {
-    for e in path {
-        match *e {
-            EdgeRef::H { x, y } => grid.add_h(x, y, 1.0),
-            EdgeRef::V { x, y } => grid.add_v(x, y, 1.0),
-        }
-    }
 }
 
 fn path_overflows(grid: &RouteGrid, path: &[EdgeRef]) -> bool {
     path.iter().any(|e| match *e {
-        EdgeRef::H { x, y } => grid.h_load(x, y) > grid.h_cap(),
-        EdgeRef::V { x, y } => grid.v_load(x, y) > grid.v_cap(),
+        EdgeRef::H { x, y } => grid.h_load(x.into(), y.into()) > grid.h_cap(),
+        EdgeRef::V { x, y } => grid.v_load(x.into(), y.into()) > grid.v_cap(),
     })
 }
 
@@ -573,152 +559,193 @@ fn count_overflowed(grid: &RouteGrid) -> usize {
     n
 }
 
-#[derive(Debug, PartialEq)]
-struct HeapEntry {
-    cost: f64,
-    node: u32,
-}
+/// A* heap entry, popped in `(cost, node)` order: the lowest cost first,
+/// ties to the lower node id. Both are packed into one integer whose
+/// order is that pop order, because non-negative costs order like their
+/// bit patterns.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct HeapEntry(Reverse<u128>);
 
-impl Eq for HeapEntry {}
+impl HeapEntry {
+    fn new(cost: f64, node: u32) -> Self {
+        debug_assert!(cost >= 0.0, "A* costs are non-negative");
+        HeapEntry(Reverse(((cost.to_bits() as u128) << 32) | node as u128))
+    }
 
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // min-heap by cost, deterministic tie-break on node id
-        other.cost.total_cmp(&self.cost).then(other.node.cmp(&self.node))
+    fn node(&self) -> u32 {
+        self.0 .0 as u32
     }
 }
 
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// Per-gcell A* state, valid for the search whose stamp it carries.
+#[derive(Debug, Clone, Copy)]
+struct NodeState {
+    dist: f64,
+    parent: u32,
+    /// The search that last reached this gcell.
+    stamp: u32,
+    /// The search that expanded this gcell at its current `dist`; reset
+    /// whenever `dist` improves.
+    expanded: u32,
 }
 
-/// Reusable A* state over the grid.
+/// Reusable A* state over the grid: the heap, per-gcell search state and
+/// a cache of every edge's PathFinder cost, all kept across connections
+/// so a search allocates nothing.
 struct Maze {
     nx: usize,
     ny: usize,
-    dist: Vec<f64>,
-    parent: Vec<u32>,
-    stamp: Vec<u32>,
+    nodes: Vec<NodeState>,
+    heap: BinaryHeap<HeapEntry>,
     cur_stamp: u32,
+    /// `edge_cost` of every horizontal / vertical edge (the grid's
+    /// row-major edge order) at `present_factor`. Costs depend on the
+    /// edge's load and history and on the present factor: loads change
+    /// only through [`Maze::add_path`], which refreshes its edges, and
+    /// history and the present factor only between iterations, which
+    /// call [`Maze::refresh_all`].
+    h_cost: Vec<f64>,
+    v_cost: Vec<f64>,
+    present_factor: f64,
 }
 
 impl Maze {
     fn new(nx: usize, ny: usize) -> Self {
-        let n = nx * ny;
         Maze {
             nx,
             ny,
-            dist: vec![0.0; n],
-            parent: vec![u32::MAX; n],
-            stamp: vec![0; n],
+            nodes: vec![NodeState { dist: 0.0, parent: u32::MAX, stamp: 0, expanded: 0 }; nx * ny],
+            heap: BinaryHeap::new(),
             cur_stamp: 0,
+            h_cost: vec![0.0; nx.saturating_sub(1) * ny],
+            v_cost: vec![0.0; nx * ny.saturating_sub(1)],
+            present_factor: 0.0,
         }
     }
 
+    /// Recomputes every edge cost at `present_factor`; needed whenever
+    /// history or the present factor changed.
+    fn refresh_all(&mut self, grid: &RouteGrid, present_factor: f64) {
+        self.present_factor = present_factor;
+        let (nx, ny) = (self.nx, self.ny);
+        for y in 0..ny {
+            for x in 0..nx.saturating_sub(1) {
+                self.refresh_h(grid, x, y);
+            }
+        }
+        for y in 0..ny.saturating_sub(1) {
+            for x in 0..nx {
+                self.refresh_v(grid, x, y);
+            }
+        }
+    }
+
+    /// Adds `delta` tracks to every edge of `path` (−1 rips it up, +1
+    /// commits it) and refreshes the cached costs of those edges.
+    fn add_path(&mut self, grid: &mut RouteGrid, path: &[EdgeRef], delta: f64) {
+        for &e in path {
+            match e {
+                EdgeRef::H { x, y } => {
+                    grid.add_h(x.into(), y.into(), delta);
+                    self.refresh_h(grid, x.into(), y.into());
+                }
+                EdgeRef::V { x, y } => {
+                    grid.add_v(x.into(), y.into(), delta);
+                    self.refresh_v(grid, x.into(), y.into());
+                }
+            }
+        }
+    }
+
+    fn refresh_h(&mut self, grid: &RouteGrid, x: usize, y: usize) {
+        self.h_cost[y * (self.nx - 1) + x] =
+            edge_cost(grid.h_load(x, y), grid.h_cap(), grid.h_history(x, y), self.present_factor);
+    }
+
+    fn refresh_v(&mut self, grid: &RouteGrid, x: usize, y: usize) {
+        self.v_cost[y * self.nx + x] =
+            edge_cost(grid.v_load(x, y), grid.v_cap(), grid.v_history(x, y), self.present_factor);
+    }
+
     /// A* from `a` to `b`, restricted to the bounding box inflated by
-    /// `margin` gcells. Returns the edge list of the found path.
-    fn route(
-        &mut self,
-        grid: &mut RouteGrid,
-        a: GcellCoord,
-        b: GcellCoord,
-        present_factor: f64,
-        margin: usize,
-    ) -> Vec<EdgeRef> {
+    /// `margin` gcells, over the cached edge costs. Replaces `path` with
+    /// the edge list of the found path (goal to start), or leaves it
+    /// empty when the box holds none.
+    ///
+    /// Costs are fixed during a search and relaxation is strict, so
+    /// re-expanding a gcell at the distance it was already expanded at
+    /// changes nothing; such stale heap entries are skipped.
+    fn route(&mut self, a: GcellCoord, b: GcellCoord, margin: usize, path: &mut Vec<EdgeRef>) {
+        path.clear();
         self.cur_stamp += 1;
         let stamp = self.cur_stamp;
-        let (nx, ny) = (self.nx, self.ny);
+        let nx = self.nx;
         let x_lo = (a.x.min(b.x) as usize).saturating_sub(margin);
         let x_hi = ((a.x.max(b.x) as usize) + margin).min(nx - 1);
         let y_lo = (a.y.min(b.y) as usize).saturating_sub(margin);
-        let y_hi = ((a.y.max(b.y) as usize) + margin).min(ny - 1);
+        let y_hi = ((a.y.max(b.y) as usize) + margin).min(self.ny - 1);
         let id = |x: usize, y: usize| (y * nx + x) as u32;
         let h = |x: usize, y: usize| {
             ((x as i64 - b.x as i64).abs() + (y as i64 - b.y as i64).abs()) as f64
         };
         let start = id(a.x as usize, a.y as usize);
         let goal = id(b.x as usize, b.y as usize);
-        self.dist[start as usize] = 0.0;
-        self.parent[start as usize] = u32::MAX;
-        self.stamp[start as usize] = stamp;
-        let mut heap = BinaryHeap::new();
-        heap.push(HeapEntry { cost: h(a.x as usize, a.y as usize), node: start });
-        while let Some(HeapEntry { cost: _, node }) = heap.pop() {
+        self.nodes[start as usize] = NodeState { dist: 0.0, parent: u32::MAX, stamp, expanded: 0 };
+        let heap = &mut self.heap;
+        heap.clear();
+        heap.push(HeapEntry::new(h(a.x as usize, a.y as usize), start));
+        while let Some(entry) = heap.pop() {
+            let node = entry.node();
             if node == goal {
                 break;
             }
+            let state = &mut self.nodes[node as usize];
+            if state.expanded == stamp {
+                continue;
+            }
+            state.expanded = stamp;
+            let d = state.dist;
             let (x, y) = ((node as usize) % nx, (node as usize) / nx);
-            let d = self.dist[node as usize];
+            let nodes = &mut self.nodes;
             // four neighbours with the edge between
-            let mut try_step =
-                |nxt_x: usize, nxt_y: usize, edge_cost: f64, heap: &mut BinaryHeap<HeapEntry>| {
-                    let nid = id(nxt_x, nxt_y);
-                    let nd = d + edge_cost;
-                    if self.stamp[nid as usize] != stamp || nd < self.dist[nid as usize] {
-                        self.stamp[nid as usize] = stamp;
-                        self.dist[nid as usize] = nd;
-                        self.parent[nid as usize] = node;
-                        heap.push(HeapEntry { cost: nd + h(nxt_x, nxt_y), node: nid });
-                    }
-                };
+            let mut try_step = |nxt_x: usize, nxt_y: usize, edge_cost: f64| {
+                let nid = id(nxt_x, nxt_y);
+                let nd = d + edge_cost;
+                let n = &mut nodes[nid as usize];
+                if n.stamp != stamp || nd < n.dist {
+                    *n = NodeState { dist: nd, parent: node, stamp, expanded: 0 };
+                    heap.push(HeapEntry::new(nd + h(nxt_x, nxt_y), nid));
+                }
+            };
             if x > x_lo {
-                let c = edge_cost(
-                    grid.h_load(x - 1, y),
-                    grid.h_cap(),
-                    grid.h_history(x - 1, y),
-                    present_factor,
-                );
-                try_step(x - 1, y, c, &mut heap);
+                try_step(x - 1, y, self.h_cost[y * (nx - 1) + x - 1]);
             }
             if x < x_hi {
-                let c = edge_cost(
-                    grid.h_load(x, y),
-                    grid.h_cap(),
-                    grid.h_history(x, y),
-                    present_factor,
-                );
-                try_step(x + 1, y, c, &mut heap);
+                try_step(x + 1, y, self.h_cost[y * (nx - 1) + x]);
             }
             if y > y_lo {
-                let c = edge_cost(
-                    grid.v_load(x, y - 1),
-                    grid.v_cap(),
-                    grid.v_history(x, y - 1),
-                    present_factor,
-                );
-                try_step(x, y - 1, c, &mut heap);
+                try_step(x, y - 1, self.v_cost[(y - 1) * nx + x]);
             }
             if y < y_hi {
-                let c = edge_cost(
-                    grid.v_load(x, y),
-                    grid.v_cap(),
-                    grid.v_history(x, y),
-                    present_factor,
-                );
-                try_step(x, y + 1, c, &mut heap);
+                try_step(x, y + 1, self.v_cost[y * nx + x]);
             }
         }
         // reconstruct
-        let mut path = Vec::new();
-        if self.stamp[goal as usize] != stamp {
-            return path; // unreachable within box; should not happen
+        if self.nodes[goal as usize].stamp != stamp {
+            return; // unreachable within box; should not happen
         }
         let mut cur = goal;
         while cur != start {
-            let p = self.parent[cur as usize];
+            let p = self.nodes[cur as usize].parent;
             let (cx, cy) = ((cur as usize) % nx, (cur as usize) / nx);
             let (px, py) = ((p as usize) % nx, (p as usize) / nx);
             if cy == py {
-                path.push(EdgeRef::H { x: cx.min(px), y: cy });
+                path.push(EdgeRef::H { x: cx.min(px) as u16, y: cy as u16 });
             } else {
-                path.push(EdgeRef::V { x: cx, y: cy.min(py) });
+                path.push(EdgeRef::V { x: cx as u16, y: cy.min(py) as u16 });
             }
             cur = p;
         }
-        let _ = ny;
-        path
     }
 }
 
