@@ -145,12 +145,16 @@ pub(crate) fn place_kway(
 
     // coarsen to ~2 clusters per region so the initial assignment has
     // slack to balance
+    let phase = obs::trace::span("place.kway.coarsen");
     let levels = coarsen(inst, 2 * k);
+    drop(phase);
     let coarsest: &PlaceInstance = levels.last().map_or(inst, |l| &l.inst);
 
     // initial k-way assignment of the coarsest clusters
+    let phase = obs::trace::span("place.kway.initial");
     let anchors = anchor_positions(coarsest, fp);
     let mut assign = initial_assign(coarsest, &grid, &anchors, cap);
+    drop(phase);
 
     // refine at the coarsest level, then uncoarsen + refine per level
     let mut level_no = 0usize;
@@ -165,12 +169,14 @@ pub(crate) fn place_kway(
 
     // finest level: spread each region's cells inside its rectangle,
     // then polish toward per-cell medians (serial, deterministic)
+    let phase = obs::trace::span("place.kway.spread");
     let nets_of_cell = inst.nets_of_cells();
     let mut pos: Vec<Point> = assign.iter().map(|&r| grid.center(r)).collect();
     let cells_of = cells_of_regions(&assign, k);
     for (r, cells) in cells_of.iter().enumerate() {
         spread_in_rect(grid.rect(r), cells, inst, &nets_of_cell, &mut pos);
     }
+    drop(phase);
     // multi-resolution polish: coarse bins first so cells can cross the
     // die toward their medians, then finer bins to settle local detail.
     // The coarse stages keep a tight density cap so long-range moves
@@ -183,28 +189,119 @@ pub(crate) fn place_kway(
     let mut polish_moves = 0usize;
     for (bin_size, max_density) in [(4.0 * 12.8, 1.2), (2.0 * 12.8, 1.4)] {
         let ropts = RefineOptions { iterations: 4, bin_size, max_density };
-        polish_moves += median_improve(inst, fp, &mut pos, &ropts);
+        let mut phase = obs::trace::span("place.kway.median");
+        let moves = median_improve(inst, fp, &mut pos, &ropts);
+        phase.attr_num("moves", moves as f64);
+        drop(phase);
+        polish_moves += moves;
         unstack_bins(inst, fp, &nets_of_cell, &mut pos, 1.6);
     }
 
     // bound the gcell-level density the router will feel: push excess
     // cells out of over-full fine bins into the cheapest neighbouring
     // bin with slack, then separate any still-coincident cells
+    let phase = obs::trace::span("place.kway.relax");
     relax_density(inst, fp, &nets_of_cell, &mut pos, 12.8, 1.8);
+    drop(phase);
     unstack_bins(inst, fp, &nets_of_cell, &mut pos, 1.6);
     // last mile: greedy position swaps between nearby cells — a swap
     // permutes occupied locations, so the density profile (and therefore
     // routability) is untouched while HPWL strictly decreases
-    polish_moves += swap_polish(inst, fp, &nets_of_cell, &mut pos, 12.8, 4);
+    let mut phase = obs::trace::span("place.kway.swap");
+    let polish = swap_polish(inst, fp, &nets_of_cell, &mut pos, 12.8, 4);
+    phase.attr_num("passes", polish.passes as f64);
+    phase.attr_num("evals", polish.evals as f64);
+    phase.attr_num("swaps", polish.swaps as f64);
+    drop(phase);
+    polish_moves += polish.swaps;
     obs::counter_add("place.kway.polish_moves", polish_moves as u64);
     pos
+}
+
+/// Work done by one [`swap_polish`] call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SwapStats {
+    /// Sweeps run (the last one applied no swap, unless the cap hit).
+    passes: usize,
+    /// Candidate pairs evaluated.
+    evals: usize,
+    /// Swaps applied.
+    swaps: usize,
+}
+
+/// A net's pin bounding box.
+#[derive(Debug, Clone, Copy)]
+struct NetBox {
+    lo_x: f64,
+    hi_x: f64,
+    lo_y: f64,
+    hi_y: f64,
+}
+
+impl NetBox {
+    /// A fresh scan of every pin of `pins` under `pos`.
+    fn scan(pins: &[PinRef], pos: &[Point]) -> NetBox {
+        let mut b = NetBox {
+            lo_x: f64::INFINITY,
+            hi_x: f64::NEG_INFINITY,
+            lo_y: f64::INFINITY,
+            hi_y: f64::NEG_INFINITY,
+        };
+        for pin in pins {
+            let p = match pin {
+                PinRef::Cell(o) => pos[*o],
+                PinRef::Fixed(p) => *p,
+            };
+            b.lo_x = b.lo_x.min(p.x);
+            b.hi_x = b.hi_x.max(p.x);
+            b.lo_y = b.lo_y.min(p.y);
+            b.hi_y = b.hi_y.max(p.y);
+        }
+        b
+    }
+
+    /// Half-perimeter of the box; 0 for a box that holds no pin.
+    fn hpwl(&self) -> f64 {
+        if self.lo_x.is_finite() {
+            (self.hi_x - self.lo_x) + (self.hi_y - self.lo_y)
+        } else {
+            0.0
+        }
+    }
+
+    /// The box after the moving cell's pins go from `old` to `new`, when
+    /// that follows from the box alone: with `old` strictly inside on all
+    /// four sides, pins of other cells hold every side, so the new box is
+    /// this one extended by `new`. `None` asks for a rescan.
+    fn after_move(&self, old: Point, new: Point) -> Option<NetBox> {
+        let inside =
+            self.lo_x < old.x && old.x < self.hi_x && self.lo_y < old.y && old.y < self.hi_y;
+        inside.then(|| NetBox {
+            lo_x: self.lo_x.min(new.x),
+            hi_x: self.hi_x.max(new.x),
+            lo_y: self.lo_y.min(new.y),
+            hi_y: self.hi_y.max(new.y),
+        })
+    }
 }
 
 /// Greedy tail polish that swaps the positions of two cells whenever the
 /// swap lowers the summed HPWL of their nets. Candidate pairs come from
 /// the same or right/upper neighbouring `bin_size` bin, visited in index
 /// order over `passes` sweeps; a swap relocates no occupied site, so cell
-/// density is invariant. Returns the number of swaps applied.
+/// density is invariant.
+///
+/// The cost of a pair is summed over the nets of `a`, then the nets of
+/// `c` that are not nets of `a`, each entry as often as it is listed.
+/// Per-net boxes and HPWLs are cached for the whole call; every entry
+/// equals a fresh scan of the current `pos`, so every `pos` write below
+/// must update the cache. A candidate reads its `before` cost from the
+/// cache. A net shared by both cells keeps its box, since the swap only
+/// trades the positions of its pins; any other net derives its `after`
+/// box from the cached one when the moved cell was strictly inside it
+/// ([`NetBox::after_move`]) and is rescanned otherwise. Both sums add
+/// the same per-net values in the same order as a full recompute, so the
+/// accept decision sees identical bits.
 fn swap_polish(
     inst: &PlaceInstance,
     fp: &Floorplan,
@@ -212,40 +309,34 @@ fn swap_polish(
     pos: &mut [Point],
     bin_size: f64,
     passes: usize,
-) -> usize {
+) -> SwapStats {
     let nx = ((fp.die_width / bin_size).ceil() as usize).max(1);
     let ny = ((fp.die_height / bin_size).ceil() as usize).max(1);
-    // summed HPWL of the union of both cells' nets under current `pos`
-    let pair_cost = |a: usize, b: usize, pos: &[Point]| -> f64 {
+    let mut boxes: Vec<NetBox> = inst.nets.iter().map(|net| NetBox::scan(&net.pins, pos)).collect();
+    let mut hpwl: Vec<f64> = boxes.iter().map(NetBox::hpwl).collect();
+    // stamps: `mark_a[ni] == a + 1` iff net `ni` is a net of `a`, and
+    // likewise `mark_c` for the candidate; net lists never change, so a
+    // stale stamp is never a wrong one
+    let mut mark_a = vec![0usize; inst.nets.len()];
+    let mut mark_c = vec![0usize; inst.nets.len()];
+    // the summed cached HPWL of the nets of `a`, in list order
+    let cost_of = |a: usize, hpwl: &[f64]| -> f64 {
         let mut cost = 0.0;
-        for (which, &c) in [a, b].iter().enumerate() {
-            for &ni in &nets_of_cell[c] {
-                // count shared nets once (when seen from `a`)
-                if which == 1 && nets_of_cell[a].contains(&ni) {
-                    continue;
-                }
-                let (mut lo_x, mut hi_x, mut lo_y, mut hi_y) =
-                    (f64::INFINITY, f64::NEG_INFINITY, f64::INFINITY, f64::NEG_INFINITY);
-                for pin in &inst.nets[ni].pins {
-                    let p = match pin {
-                        PinRef::Cell(o) => pos[*o],
-                        PinRef::Fixed(p) => *p,
-                    };
-                    lo_x = lo_x.min(p.x);
-                    hi_x = hi_x.max(p.x);
-                    lo_y = lo_y.min(p.y);
-                    hi_y = hi_y.max(p.y);
-                }
-                if lo_x.is_finite() {
-                    cost += (hi_x - lo_x) + (hi_y - lo_y);
-                }
-            }
+        for &ni in &nets_of_cell[a] {
+            cost += hpwl[ni];
         }
         cost
     };
-    let mut swaps = 0usize;
+    let mut bin_cells: Vec<Vec<usize>> = vec![Vec::new(); nx * ny];
+    let mut cand: Vec<usize> = Vec::new();
+    // the new boxes of the last evaluated pair, written back on accept
+    let mut pending: Vec<(usize, NetBox, f64)> = Vec::new();
+    let mut stats = SwapStats { passes: 0, evals: 0, swaps: 0 };
     for _ in 0..passes {
-        let mut bin_cells: Vec<Vec<usize>> = vec![Vec::new(); nx * ny];
+        stats.passes += 1;
+        for cells in &mut bin_cells {
+            cells.clear();
+        }
         for (c, p) in pos.iter().enumerate() {
             let bx = ((p.x / bin_size) as usize).min(nx - 1);
             let by = ((p.y / bin_size) as usize).min(ny - 1);
@@ -256,7 +347,8 @@ fn swap_polish(
             let (bx, by) = (b % nx, b / nx);
             // candidates: own bin plus right and upper neighbours, so
             // every adjacent bin pair is tried exactly once
-            let mut cand = bin_cells[b].clone();
+            cand.clear();
+            cand.extend_from_slice(&bin_cells[b]);
             if bx + 1 < nx {
                 cand.extend_from_slice(&bin_cells[b + 1]);
             }
@@ -264,15 +356,55 @@ fn swap_polish(
                 cand.extend_from_slice(&bin_cells[b + nx]);
             }
             for &a in &bin_cells[b] {
+                for &ni in &nets_of_cell[a] {
+                    mark_a[ni] = a + 1;
+                }
+                let mut before_a = cost_of(a, &hpwl);
                 for &c in &cand {
                     if c <= a {
                         continue;
                     }
-                    let before = pair_cost(a, c, pos);
+                    stats.evals += 1;
+                    for &ni in &nets_of_cell[c] {
+                        mark_c[ni] = c + 1;
+                    }
+                    let (pa, pc) = (pos[a], pos[c]);
                     pos.swap(a, c);
-                    let after = pair_cost(a, c, pos);
+                    pending.clear();
+                    let mut after = 0.0;
+                    for &ni in &nets_of_cell[a] {
+                        if mark_c[ni] == c + 1 {
+                            after += hpwl[ni];
+                            continue;
+                        }
+                        let nb = boxes[ni]
+                            .after_move(pa, pc)
+                            .unwrap_or_else(|| NetBox::scan(&inst.nets[ni].pins, pos));
+                        let h = nb.hpwl();
+                        after += h;
+                        pending.push((ni, nb, h));
+                    }
+                    let mut before = before_a;
+                    for &ni in &nets_of_cell[c] {
+                        // count shared nets once (when seen from `a`)
+                        if mark_a[ni] == a + 1 {
+                            continue;
+                        }
+                        before += hpwl[ni];
+                        let nb = boxes[ni]
+                            .after_move(pc, pa)
+                            .unwrap_or_else(|| NetBox::scan(&inst.nets[ni].pins, pos));
+                        let h = nb.hpwl();
+                        after += h;
+                        pending.push((ni, nb, h));
+                    }
                     if before - after > MIN_GAIN {
-                        swaps += 1;
+                        for &(ni, nb, h) in &pending {
+                            boxes[ni] = nb;
+                            hpwl[ni] = h;
+                        }
+                        before_a = cost_of(a, &hpwl);
+                        stats.swaps += 1;
                         moved = true;
                     } else {
                         pos.swap(a, c); // undo
@@ -284,7 +416,7 @@ fn swap_polish(
             break;
         }
     }
-    swaps
+    stats
 }
 
 /// Caps the per-bin cell-width density at `max_density` times the die
@@ -418,6 +550,7 @@ fn unstack_bins(
     pos: &mut [Point],
     bin_size: f64,
 ) {
+    let _span = obs::trace::span("place.kway.unstack");
     let nx = ((fp.die_width / bin_size).ceil() as usize).max(1);
     let ny = ((fp.die_height / bin_size).ceil() as usize).max(1);
     let mut bin_cells: Vec<Vec<usize>> = vec![Vec::new(); nx * ny];
@@ -726,6 +859,8 @@ mod tests {
     use crate::instance::PlaceNet;
     use crate::metrics::total_hpwl_of_instance;
     use crate::PlacerBackend;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn kway_opts() -> PlacerOptions {
         PlacerOptions { backend: PlacerBackend::KWay, ..Default::default() }
@@ -879,6 +1014,206 @@ mod tests {
         }
         for (r, &f) in fill.iter().enumerate() {
             assert!(f <= cap + 1e-9, "region {r} overfull: {f} > {cap}");
+        }
+    }
+
+    /// The full-recompute tail polish that [`swap_polish`] replaced: every
+    /// candidate rescans every net of both cells before and after the
+    /// swap. Kept as the oracle of the incremental version.
+    fn swap_polish_oracle(
+        inst: &PlaceInstance,
+        fp: &Floorplan,
+        nets_of_cell: &[Vec<usize>],
+        pos: &mut [Point],
+        bin_size: f64,
+        passes: usize,
+    ) -> SwapStats {
+        let nx = ((fp.die_width / bin_size).ceil() as usize).max(1);
+        let ny = ((fp.die_height / bin_size).ceil() as usize).max(1);
+        let pair_cost = |a: usize, b: usize, pos: &[Point]| -> f64 {
+            let mut cost = 0.0;
+            for (which, &c) in [a, b].iter().enumerate() {
+                for &ni in &nets_of_cell[c] {
+                    if which == 1 && nets_of_cell[a].contains(&ni) {
+                        continue;
+                    }
+                    let (mut lo_x, mut hi_x, mut lo_y, mut hi_y) =
+                        (f64::INFINITY, f64::NEG_INFINITY, f64::INFINITY, f64::NEG_INFINITY);
+                    for pin in &inst.nets[ni].pins {
+                        let p = match pin {
+                            PinRef::Cell(o) => pos[*o],
+                            PinRef::Fixed(p) => *p,
+                        };
+                        lo_x = lo_x.min(p.x);
+                        hi_x = hi_x.max(p.x);
+                        lo_y = lo_y.min(p.y);
+                        hi_y = hi_y.max(p.y);
+                    }
+                    if lo_x.is_finite() {
+                        cost += (hi_x - lo_x) + (hi_y - lo_y);
+                    }
+                }
+            }
+            cost
+        };
+        let mut stats = SwapStats { passes: 0, evals: 0, swaps: 0 };
+        for _ in 0..passes {
+            stats.passes += 1;
+            let mut bin_cells: Vec<Vec<usize>> = vec![Vec::new(); nx * ny];
+            for (c, p) in pos.iter().enumerate() {
+                let bx = ((p.x / bin_size) as usize).min(nx - 1);
+                let by = ((p.y / bin_size) as usize).min(ny - 1);
+                bin_cells[by * nx + bx].push(c);
+            }
+            let mut moved = false;
+            for b in 0..nx * ny {
+                let (bx, by) = (b % nx, b / nx);
+                let mut cand = bin_cells[b].clone();
+                if bx + 1 < nx {
+                    cand.extend_from_slice(&bin_cells[b + 1]);
+                }
+                if by + 1 < ny {
+                    cand.extend_from_slice(&bin_cells[b + nx]);
+                }
+                for &a in &bin_cells[b] {
+                    for &c in &cand {
+                        if c <= a {
+                            continue;
+                        }
+                        stats.evals += 1;
+                        let before = pair_cost(a, c, pos);
+                        pos.swap(a, c);
+                        let after = pair_cost(a, c, pos);
+                        if before - after > MIN_GAIN {
+                            stats.swaps += 1;
+                            moved = true;
+                        } else {
+                            pos.swap(a, c);
+                        }
+                    }
+                }
+            }
+            if !moved {
+                break;
+            }
+        }
+        stats
+    }
+
+    /// A random instance exercising every incremental-HPWL corner:
+    /// nets listing a cell twice, single-cell nets, fixed pins, cells on
+    /// a coarse lattice (coincident positions and pins tied on a box
+    /// side) and, when `crowd` is set, most cells packed into one bin.
+    fn random_case(rng: &mut StdRng, crowd: bool) -> (PlaceInstance, Floorplan, Vec<Point>) {
+        let n = rng.gen_range(8usize..200);
+        let fp = Floorplan::with_rows_and_area(8, 8.0 * 6.4 * 64.0);
+        let (w, h) = (fp.die_width, fp.die_height);
+        let mut nets = Vec::new();
+        for _ in 0..rng.gen_range(n / 2..2 * n) {
+            let mut pins = Vec::new();
+            match rng.gen_range(0..10) {
+                0 => pins.push(PinRef::Cell(rng.gen_range(0..n))),
+                1 => {
+                    let c = rng.gen_range(0..n);
+                    pins.extend([
+                        PinRef::Cell(c),
+                        PinRef::Cell(rng.gen_range(0..n)),
+                        PinRef::Cell(c),
+                    ]);
+                }
+                _ => {
+                    for _ in 0..rng.gen_range(2..7) {
+                        pins.push(if rng.gen_bool(0.15) {
+                            PinRef::Fixed(Point::new(rng.gen_range(0.0..w), rng.gen_range(0.0..h)))
+                        } else {
+                            PinRef::Cell(rng.gen_range(0..n))
+                        });
+                    }
+                }
+            }
+            nets.push(PlaceNet { pins });
+        }
+        let pos = (0..n)
+            .map(|_| {
+                if crowd && rng.gen_bool(0.8) {
+                    Point::new(rng.gen_range(0.0..12.0), rng.gen_range(0.0..12.0))
+                } else if rng.gen_bool(0.4) {
+                    // lattice points: coincident cells and tied box sides
+                    Point::new(rng.gen_range(0..8) as f64 * 6.4, rng.gen_range(0..6) as f64 * 6.4)
+                } else {
+                    Point::new(rng.gen_range(0.0..w), rng.gen_range(0.0..h))
+                }
+            })
+            .collect();
+        (PlaceInstance { cell_width: vec![1.92; n], nets }, fp, pos)
+    }
+
+    #[test]
+    fn swap_polish_matches_full_recompute_oracle() {
+        let mut rng = StdRng::seed_from_u64(0x5a4b);
+        let (mut swaps, mut crowded) = (0usize, 0usize);
+        for case in 0..60 {
+            let (inst, fp, start) = random_case(&mut rng, case % 3 == 1);
+            let nets_of_cell = inst.nets_of_cells();
+            let bin_size = [6.4, 12.8, 25.6][case % 3];
+            let max_bin = {
+                let nx = ((fp.die_width / bin_size).ceil() as usize).max(1);
+                let mut fill = HashMap::new();
+                for p in &start {
+                    *fill
+                        .entry(
+                            ((p.x / bin_size) as usize).min(nx - 1)
+                                + nx * (p.y / bin_size) as usize,
+                        )
+                        .or_insert(0usize) += 1;
+                }
+                fill.values().copied().max().unwrap_or(0)
+            };
+            crowded += usize::from(max_bin > 50);
+            let (mut fast, mut slow) = (start.clone(), start);
+            let got = swap_polish(&inst, &fp, &nets_of_cell, &mut fast, bin_size, 4);
+            let want = swap_polish_oracle(&inst, &fp, &nets_of_cell, &mut slow, bin_size, 4);
+            assert_eq!(got, want, "case {case}: stats differ");
+            let bits = |v: &[Point]| -> Vec<(u64, u64)> {
+                v.iter().map(|p| (p.x.to_bits(), p.y.to_bits())).collect()
+            };
+            assert_eq!(bits(&fast), bits(&slow), "case {case}: positions differ");
+            swaps += got.swaps;
+        }
+        assert!(swaps > 1000, "the cases should exercise many swaps, got {swaps}");
+        assert!(crowded >= 5, "the cases should include crowded bins, got {crowded}");
+    }
+
+    #[test]
+    fn place_kway_traces_every_phase_under_its_span() {
+        let inst = chain_instance(200);
+        let fp = Floorplan::with_rows_and_area(10, 10.0 * 6.4 * 200.0);
+        obs::trace::set_enabled(true);
+        place_kway(&inst, &fp, &kway_opts(), &Pool::serial());
+        obs::trace::set_enabled(false);
+        // other tests may trace concurrently: keep this thread's spans
+        let me = obs::trace::thread_label();
+        let events: Vec<_> =
+            obs::trace::take_events().into_iter().filter(|e| e.thread == me).collect();
+        let root = events.iter().find(|e| e.name == "place.kway").expect("place.kway span");
+        for phase in [
+            "place.kway.coarsen",
+            "place.kway.initial",
+            "place.kway.level",
+            "place.kway.spread",
+            "place.kway.median",
+            "place.kway.unstack",
+            "place.kway.relax",
+            "place.kway.swap",
+        ] {
+            assert!(
+                events.iter().any(|e| e.name == phase && e.parent == Some(root.id)),
+                "{phase} is not traced under place.kway"
+            );
+        }
+        let swap = events.iter().find(|e| e.name == "place.kway.swap").unwrap();
+        for key in ["passes", "evals", "swaps"] {
+            assert!(swap.attrs.iter().any(|(k, _)| k == key), "place.kway.swap lacks {key}");
         }
     }
 }

@@ -53,14 +53,16 @@ pub fn median_improve(
         bin_fill[bin_of(*p)] += inst.cell_width[c];
     }
     let mut moves = 0;
+    // connected pin coordinates of the current cell, reused across cells
+    let (mut xs, mut ys): (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
     for _ in 0..opts.iterations {
         for c in 0..n {
             if nets_of_cell[c].is_empty() {
                 continue;
             }
             // gather connected pin coordinates (excluding this cell)
-            let mut xs: Vec<f64> = Vec::new();
-            let mut ys: Vec<f64> = Vec::new();
+            xs.clear();
+            ys.clear();
             for &ni in &nets_of_cell[c] {
                 for pin in &inst.nets[ni].pins {
                     let p = match pin {
@@ -75,9 +77,12 @@ pub fn median_improve(
             if xs.is_empty() {
                 continue;
             }
-            xs.sort_by(f64::total_cmp);
-            ys.sort_by(f64::total_cmp);
-            let target = fp.clamp(Point::new(xs[xs.len() / 2], ys[ys.len() / 2]));
+            // the element a full `total_cmp` sort would put at len / 2:
+            // values equal under `total_cmp` have identical bits
+            let mid = xs.len() / 2;
+            let (_, &mut mx, _) = xs.select_nth_unstable_by(mid, f64::total_cmp);
+            let (_, &mut my, _) = ys.select_nth_unstable_by(mid, f64::total_cmp);
+            let target = fp.clamp(Point::new(mx, my));
             let from = bin_of(pos[c]);
             let to = bin_of(target);
             if from == to {
@@ -102,6 +107,8 @@ mod tests {
     use crate::instance::PlaceNet;
     use crate::metrics::total_hpwl_of_instance;
     use crate::{place, PlacerOptions};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn mesh(side: usize) -> PlaceInstance {
         let n = side * side;
@@ -206,5 +213,123 @@ mod tests {
         let before = pos.clone();
         median_improve(&inst, &fp, &mut pos, &RefineOptions::default());
         assert_eq!(pos, before);
+    }
+
+    /// The sort-based median refinement that [`median_improve`] replaced:
+    /// fresh coordinate vectors per cell, fully sorted. Kept as the
+    /// oracle of the selection-based version.
+    fn median_improve_oracle(
+        inst: &PlaceInstance,
+        fp: &Floorplan,
+        pos: &mut [Point],
+        opts: &RefineOptions,
+    ) -> usize {
+        let n = inst.num_cells();
+        if n == 0 {
+            return 0;
+        }
+        let nets_of_cell = inst.nets_of_cells();
+        let nx = ((fp.die_width / opts.bin_size).ceil() as usize).max(1);
+        let ny = ((fp.die_height / opts.bin_size).ceil() as usize).max(1);
+        let bin_of = |p: Point| -> usize {
+            let bx = ((p.x / opts.bin_size) as usize).min(nx - 1);
+            let by = ((p.y / opts.bin_size) as usize).min(ny - 1);
+            by * nx + bx
+        };
+        let cap = (inst.total_width() / (nx * ny) as f64) * opts.max_density;
+        let mut bin_fill = vec![0.0f64; nx * ny];
+        for (c, p) in pos.iter().enumerate() {
+            bin_fill[bin_of(*p)] += inst.cell_width[c];
+        }
+        let mut moves = 0;
+        for _ in 0..opts.iterations {
+            for c in 0..n {
+                if nets_of_cell[c].is_empty() {
+                    continue;
+                }
+                let mut xs: Vec<f64> = Vec::new();
+                let mut ys: Vec<f64> = Vec::new();
+                for &ni in &nets_of_cell[c] {
+                    for pin in &inst.nets[ni].pins {
+                        let p = match pin {
+                            PinRef::Cell(o) if *o == c => continue,
+                            PinRef::Cell(o) => pos[*o],
+                            PinRef::Fixed(p) => *p,
+                        };
+                        xs.push(p.x);
+                        ys.push(p.y);
+                    }
+                }
+                if xs.is_empty() {
+                    continue;
+                }
+                xs.sort_by(f64::total_cmp);
+                ys.sort_by(f64::total_cmp);
+                let target = fp.clamp(Point::new(xs[xs.len() / 2], ys[ys.len() / 2]));
+                let from = bin_of(pos[c]);
+                let to = bin_of(target);
+                if from == to {
+                    pos[c] = target;
+                    continue;
+                }
+                if bin_fill[to] + inst.cell_width[c] > cap {
+                    continue;
+                }
+                bin_fill[from] -= inst.cell_width[c];
+                bin_fill[to] += inst.cell_width[c];
+                pos[c] = target;
+                moves += 1;
+            }
+        }
+        moves
+    }
+
+    #[test]
+    fn median_improve_matches_sort_based_oracle() {
+        let mut rng = StdRng::seed_from_u64(0x3ed1);
+        let fp = Floorplan::with_rows_and_area(8, 8.0 * 6.4 * 64.0);
+        let (w, h) = (fp.die_width, fp.die_height);
+        // coarse lattice values, both zeros among them, so medians tie
+        let coord = |rng: &mut StdRng, span: f64| -> f64 {
+            match rng.gen_range(0..4) {
+                0 => [0.0, -0.0][rng.gen_range(0..2usize)],
+                1 => rng.gen_range(0..6) as f64 * 6.4,
+                _ => rng.gen_range(0.0..span),
+            }
+        };
+        let mut moves = 0;
+        for case in 0..200 {
+            let n = rng.gen_range(1usize..80);
+            let mut inst = PlaceInstance { cell_width: vec![1.92; n], nets: Vec::new() };
+            for _ in 0..rng.gen_range(0..2 * n) {
+                let mut pins = Vec::new();
+                for _ in 0..rng.gen_range(1..6) {
+                    pins.push(if rng.gen_bool(0.2) {
+                        PinRef::Fixed(Point::new(coord(&mut rng, w), coord(&mut rng, h)))
+                    } else {
+                        // small index range: cells listed twice on a net
+                        PinRef::Cell(rng.gen_range(0..n.min(1 + n / 2)))
+                    });
+                }
+                inst.nets.push(PlaceNet { pins });
+            }
+            let start: Vec<Point> =
+                (0..n).map(|_| Point::new(coord(&mut rng, w), coord(&mut rng, h))).collect();
+            let opts = RefineOptions {
+                iterations: rng.gen_range(1usize..4),
+                bin_size: [6.4, 12.8, 64.0][case % 3],
+                max_density: rng.gen_range(1.0..2.5),
+            };
+            let (mut fast, mut slow) = (start.clone(), start);
+            let got = median_improve(&inst, &fp, &mut fast, &opts);
+            let want = median_improve_oracle(&inst, &fp, &mut slow, &opts);
+            assert_eq!(got, want, "case {case}: move counts differ");
+            let bits = |v: &[Point]| -> Vec<(u64, u64)> {
+                v.iter().map(|p| (p.x.to_bits(), p.y.to_bits())).collect()
+            };
+            assert_eq!(bits(&fast), bits(&slow), "case {case}: positions differ");
+            moves += got;
+        }
+        assert!(moves > 200, "the cases should exercise many moves, got {moves}");
     }
 }
