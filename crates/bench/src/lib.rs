@@ -1,6 +1,5 @@
 //! Experiment harness: shared setup for the binaries that regenerate
-//! every table and figure of the paper, plus Criterion benches of the hot
-//! kernels.
+//! every table and figure of the paper.
 //!
 //! Binaries (run with `cargo run --release -p casyn-bench --bin <name>`):
 //!
@@ -14,8 +13,6 @@
 use casyn_flow::{FlowOptions, Prepared};
 use casyn_netlist::network::Network;
 use casyn_place::Floorplan;
-
-pub mod perf;
 
 /// The experiment setup of one paper benchmark: the prepared design and
 /// the fixed floorplan every mapping is evaluated against.

@@ -30,3 +30,18 @@ fn parse_error_prints_usage_on_stderr_and_fails() {
     assert!(err.contains("error: unknown option: --no-such-flag"), "{err}");
     assert!(err.contains("usage: casyn <map|"), "{err}");
 }
+
+#[test]
+fn unknown_command_prints_usage_before_reading_any_file() {
+    // the design path does not exist: a "cannot read" error would mean the
+    // command ran as a flow before being rejected
+    for command in ["mapp", "loadgen"] {
+        let out = casyn(&[command, "no/such/design.pla"]);
+        assert_eq!(out.status.code(), Some(1), "{command}");
+        assert!(out.stdout.is_empty(), "{command}: unexpected stdout");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains(&format!("error: unknown command: {command}")), "{err}");
+        assert!(err.contains("usage: casyn <map|"), "{err}");
+        assert!(!err.contains("cannot read"), "{err}");
+    }
+}

@@ -11,8 +11,6 @@
 //!   exactly the mechanism the paper blames for congestion: "a gate of
 //!   small size shared between several functions may increase the wiring
 //!   area to an extent that far exceeds the area saved".
-//! * [`simplify`] — light espresso-style two-level cleanup (containment,
-//!   distance-1 merging, literal expansion).
 //! * [`decompose`] — decomposition of an optimized network into the
 //!   NAND2/INV subject graph consumed by technology mapping.
 //!
@@ -34,9 +32,7 @@
 pub mod decompose;
 pub mod extract;
 pub mod kernels;
-pub mod simplify;
 
 pub use decompose::{decompose, Decomposed};
 pub use extract::{extract_cubes, extract_kernels, optimize, OptimizeOptions};
 pub use kernels::{kernels, KernelPair};
-pub use simplify::{simplify_network, simplify_sop, SimplifyOptions};

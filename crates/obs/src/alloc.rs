@@ -139,17 +139,4 @@ mod tests {
         assert!(freed_bytes() > 0);
         assert!(allocated_bytes() >= freed_bytes());
     }
-
-    #[test]
-    fn peak_tracks_high_water_and_rebases() {
-        reset_peak();
-        let base = peak_bytes();
-        let v: Vec<u8> = vec![0; 1 << 20];
-        assert!(peak_bytes() >= base + (1 << 20));
-        drop(v);
-        let high = peak_bytes();
-        reset_peak();
-        // after rebasing, peak restarts from the (smaller) live size
-        assert!(peak_bytes() <= high);
-    }
 }

@@ -224,7 +224,7 @@ struct Shared {
 }
 
 /// Per-second access-log budget; above it lines are counted, not
-/// printed, so loadgen cannot drown the log.
+/// printed, so a load test cannot drown the log.
 const ACCESS_LOG_MAX_PER_SEC: u32 = 50;
 
 #[derive(Default)]
@@ -356,7 +356,7 @@ fn request_id(shared: &Shared, req: &Request) -> String {
 }
 
 /// One structured access-log line per HTTP request, rate-limited to
-/// [`ACCESS_LOG_MAX_PER_SEC`] so loadgen cannot drown stderr; the
+/// [`ACCESS_LOG_MAX_PER_SEC`] so a load test cannot drown stderr; the
 /// counters always fire, and suppressed lines surface as a per-second
 /// summary plus the `serve.log_suppressed` counter.
 fn access_log(
